@@ -6,8 +6,22 @@
 //! dataset, and the service amortizes block I/O across *all* in-flight
 //! requests instead of within a single run.
 //!
-//! Architecture:
+//! Architecture — one engine, two front ends:
 //!
+//! * **One engine** — replicas, each owning a shard of the blocks on a
+//!   consistent-hash [`ring::Ring`], with workers draining that replica's
+//!   per-block queues. [`Service`] is a cluster of one: one replica whose
+//!   `workers` threads share its queues and cache.
+//!   [`cluster::ClusterService`] is `replicas` replicas with one worker
+//!   each (the replica is the unit of parallelism, like a rank in the
+//!   paper); a streamline that exits its replica's shard is handed to the
+//!   owner replica with its geometry, hot blocks may be advanced locally by
+//!   ring successors, and a fail-stop replica is detected by heartbeat
+//!   staleness and its parked work re-dispatched intact. A single replica
+//!   has no successor to fail over to, so it runs no heartbeat or monitor.
+//!   Both front ends speak the same [`Request`]/[`Response`] types; they differ
+//!   only in config, metrics snapshot type and metric namespace
+//!   (`streamline_serve_*` vs `streamline_cluster_*`).
 //! * **Admission control** — [`Service::submit`] accepts a [`Request`]
 //!   (seeds + integration params + optional deadline) only while the total
 //!   number of live seeds is below the configured queue capacity;
@@ -53,12 +67,17 @@
 //!   [`Service::timeline`].
 //!
 //! Streamlines computed here are bit-identical to the single-shot drivers:
-//! both advance through `streamline_core::advance::advance_in_block`.
+//! workers advance them through
+//! `streamline_core::advance::advance_batch_in_block`, which is
+//! bit-identical per lane to the drivers' `advance_in_block`.
 
 pub mod breaker;
 pub mod cache;
+pub mod cluster;
+mod engine;
 pub mod metrics;
 pub mod resident;
+pub mod ring;
 pub mod service;
 pub mod warm;
 

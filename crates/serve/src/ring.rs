@@ -60,8 +60,15 @@ impl Ring {
 
     /// The replica owning `block`: the first alive point clockwise from the
     /// block's hash. `None` when no replica is alive.
+    /// Allocation-free: the router calls this per seed and per hand-off.
     pub fn owner(&self, block: BlockId, alive: &[bool]) -> Option<usize> {
-        self.successors(block, alive, 1).first().copied()
+        let h = Self::block_hash(block);
+        let (before, after) = self.points.split_at(self.points.partition_point(|&(p, _)| p < h));
+        after
+            .iter()
+            .chain(before)
+            .map(|&(_, r)| r)
+            .find(|&r| alive.get(r).copied().unwrap_or(false))
     }
 
     /// The first `k` *distinct* alive replicas clockwise from `block`'s
